@@ -24,13 +24,15 @@ storm:
 Everything lands in ``BENCH_serving_cluster.json`` (via
 :func:`repro.bench.output.write_bench_json`) with run-store-stable metric
 paths, so ``python -m repro runs submit|diff|gate`` track serving
-regressions like training ones.
+regressions like training ones.  Run it with
+``python -m repro.bench.clusterbench [--quick]``; the exit status is
+non-zero when the drill fails.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from ..serve.cluster import (
 )
 from .output import write_bench_json
 
-__all__ = ["ClusterBenchResult", "run_cluster_bench"]
+__all__ = ["ClusterBenchResult", "main", "run_cluster_bench"]
 
 #: slower-than-real batch service model, sized so the bench's offered load
 #: saturates one replica but not four (the comparison the acceptance needs)
@@ -223,3 +225,23 @@ def run_cluster_bench(
     if emit:
         write_bench_json("serving_cluster", result.payload())
     return result
+
+
+def main(argv: List[str] | None = None) -> int:
+    import argparse
+
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--quick", action="store_true", help="smoke-scale workload")
+    args = ap.parse_args(argv)
+    result = run_cluster_bench(quick=args.quick)
+    print(result.text)
+    deploy = result.deploy_report
+    checks = ("swap_identical", "rollback_ok", "active_unmoved_after_rollback")
+    if deploy["dropped"] or not all(deploy[c] for c in checks):
+        print(f"ERROR: deploy drill failed: {deploy}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":  # pragma: no cover - CLI entry
+    raise SystemExit(main())

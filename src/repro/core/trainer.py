@@ -14,6 +14,12 @@ Per boosting round the trainer:
 4. finalizes leaves with weight ``-eta * G / (H + lambda)`` and reports
    them to the gradient computer (SmartGD's "intermediate results").
 
+The level loop iterates over *attribute shards*: steps 2 and 3 run per
+shard, and a per-node combine picks each node's winner among the shards'
+candidates.  This trainer has a single shard holding every attribute on
+its device; :class:`~repro.ext.multigpu.MultiGpuGBDTTrainer` reuses the
+same loop with one shard per device.
+
 Every Fig. 9 optimization switch in :class:`~repro.core.params.GBDTParams`
 changes the *recorded work* (and sometimes the code path) but never the
 resulting trees -- ``tests/test_trainer.py`` asserts tree identity across
@@ -24,13 +30,13 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from ..data.matrix import CSRMatrix
 from ..data.rle import RunLengthColumns, decide_compression, encode_segments
-from ..data.sorted_columns import build_sorted_columns
+from ..data.sorted_columns import SortedColumns, build_sorted_columns
 from ..gpusim.kernel import GpuDevice
 from ..gpusim.primitives import bincount_sum
 from ..obs import get_registry, span
@@ -40,7 +46,12 @@ from .partition import partition_segments, plan_partition
 from .rle_split import split_runs_direct, split_runs_with_decompression
 from .sampling import TreeSample, sample_tree
 from .smartgd import GradientComputer
-from .split import SegmentLayout, find_best_splits_rle, find_best_splits_sparse
+from .split import (
+    NodeBestSplits,
+    SegmentLayout,
+    find_best_splits_rle,
+    find_best_splits_sparse,
+)
 from .tree import DecisionTree
 from .workspace import IDX_DTYPE, WorkspaceArena, arena_enabled_default
 
@@ -67,6 +78,31 @@ class TrainReport:
     @property
     def mean_tree_size(self) -> float:
         return float(sum(self.tree_sizes) / len(self.tree_sizes)) if self.tree_sizes else 0.0
+
+
+@dataclasses.dataclass
+class _Shard:
+    """One device's slice of the attribute lists.
+
+    ``attrs`` (global ids, ascending) are sorted onto ``device`` at setup.
+    Every tree stages working lists for ``tree_attrs`` -- the shard's
+    attributes drawn for that tree -- and partitions them level by level.
+    The shard's list buffers live in its own ``workspace``, so two shards
+    never share a ping-pong slot.
+    """
+
+    device: GpuDevice
+    attrs: np.ndarray
+    workspace: WorkspaceArena
+    cols: SortedColumns | None = None
+    base_rle: RunLengthColumns | None = None
+    # per-tree working state
+    tree_attrs: np.ndarray | None = None
+    inst: np.ndarray | None = None
+    vals: np.ndarray | None = None
+    rle: RunLengthColumns | None = None
+    layout: SegmentLayout | None = None
+    sid: np.ndarray | None = None
 
 
 class GPUGBDTTrainer:
@@ -115,12 +151,53 @@ class GPUGBDTTrainer:
         self.workspace = WorkspaceArena(enabled=self.use_arena)
         self.report: TrainReport | None = None
 
+    # ---------------------------------------------------------------- hooks
+    # The level loop below iterates over attribute *shards*.  This trainer
+    # has one shard holding every attribute on ``self.device``;
+    # :class:`~repro.ext.multigpu.MultiGpuGBDTTrainer` overrides these four
+    # hooks to spread the attributes over several devices.
+    def _make_shards(self, n_cols: int) -> List[_Shard]:
+        """Assign attributes to devices: here, all of them to one."""
+        return [_Shard(self.device, np.arange(n_cols, dtype=np.int64), self.workspace)]
+
+    def _boost_round(self, t_idx: int, n_rows: int):
+        """Context of one boosting round (span, per-round transfers)."""
+        return span("boost_round", tree=t_idx)
+
+    def _combine_splits(
+        self, shards: List[_Shard], bests: List[NodeBestSplits]
+    ) -> Tuple[NodeBestSplits, np.ndarray]:
+        """Per-node winner over the shards' records, with *global* attribute
+        ids, and the index of the shard owning each winner."""
+        (shard,), (best,) = shards, bests
+        attr = np.where(best.found, shard.tree_attrs[np.maximum(best.attr, 0)], -1)
+        return dataclasses.replace(best, attr=attr), np.zeros(attr.size, dtype=np.int64)
+
+    def _materialize_sides(
+        self, shards: List[_Shard], best: NodeBestSplits, owner: np.ndarray,
+        split_locals: np.ndarray, side_inst: np.ndarray, node_n: np.ndarray,
+    ) -> None:
+        """Write the side of every instance the winning segments hold."""
+        (shard,) = shards
+        self._override_sides(shard, best, split_locals, side_inst)
+        n = side_inst.size
+        self.device.launch(
+            "update_instance_to_node",
+            elements=n * self.row_scale,
+            flops_per_element=2.0,
+            coalesced_bytes=n * self.row_scale * 9,
+            irregular_bytes=node_n[split_locals].sum()
+            * (self.device.work_scale / max(shard.cols.n_cols, 1))
+            * 4,
+            scale=False,
+        )
+
     # ----------------------------------------------------------------- setup
-    def _register_memory(self, X: CSRMatrix, used_rle: bool, rle: RunLengthColumns | None) -> None:
-        """Register full-scale device buffers; raises DeviceOutOfMemory."""
-        mem = self.device.memory
-        nnz_full = X.nnz * self.device.work_scale
-        n_full = X.n_rows * self.row_scale
+    def _register_memory(self, shard: _Shard, n_rows: int, used_rle: bool) -> None:
+        """Register a shard's full-scale device buffers; raises DeviceOutOfMemory."""
+        mem = shard.device.memory
+        nnz_full = shard.cols.nnz * shard.device.work_scale
+        n_full = n_rows * self.row_scale
         if self.dense_memory_model:
             # dense baseline: (fp32 value + int32 instance id) per cell of the
             # n x d matrix, plus node-interleaved g/h copies (Section II-D:
@@ -133,8 +210,8 @@ class GPUGBDTTrainer:
             mem.alloc("predictions", n_full * 4)
             mem.alloc("instance_to_node", n_full * 4)
             return
-        if used_rle and rle is not None:
-            runs_full = rle.n_runs * self.device.work_scale
+        if used_rle:
+            runs_full = shard.base_rle.n_runs * shard.device.work_scale
             mem.alloc("rle_runs", runs_full * 8)
             mem.alloc("per_candidate_gains", runs_full * 4)
         else:
@@ -145,7 +222,9 @@ class GPUGBDTTrainer:
         # the workspace is two columns' worth of (value, id) pairs -- not a
         # full double buffer (that is what lets GPU-GBDT hold every Table-II
         # dataset while the dense baseline cannot)
-        mem.alloc("partition_column_workspace", 2 * (nnz_full / max(X.n_cols, 1)) * 8)
+        mem.alloc(
+            "partition_column_workspace", 2 * (nnz_full / max(shard.cols.n_cols, 1)) * 8
+        )
         mem.alloc("gradients_gh", n_full * 8)
         mem.alloc("predictions", n_full * 4)
         mem.alloc("instance_to_node", n_full * 4)
@@ -215,33 +294,43 @@ class GPUGBDTTrainer:
 
         with device.phase("setup"), span("setup"):
             csc = X.to_csc()
-            cols = build_sorted_columns(csc, device)
-            base_rle: RunLengthColumns | None = None
+            shards = self._make_shards(d)
+            for shard in shards:
+                sub = csc if shard.attrs.size == d else csc.select_columns(shard.attrs)
+                with shard.device.phase("setup"):
+                    shard.cols = build_sorted_columns(sub, shard.device)
             used_rle = False
             if p.use_rle:
+                # one global decision, so every shard takes the same path
+                lens = np.concatenate([np.diff(s.cols.col_offsets) for s in shards])
                 used_rle = decide_compression(
                     p.rle_policy,
                     n_rows=n,
                     n_cols=d,
-                    values=cols.values,
-                    offsets=cols.col_offsets,
+                    values=np.concatenate([s.cols.values for s in shards]),
+                    offsets=np.concatenate(([0], np.cumsum(lens))),
                     paper_threshold=p.rle_paper_threshold,
                     measured_threshold=p.rle_measured_threshold,
                 )
-            if used_rle:
-                base_rle = encode_segments(cols.values, cols.col_offsets)
-                device.launch(
-                    "rle_compress_initial",
-                    elements=X.nnz,
-                    flops_per_element=2.0,
-                    coalesced_bytes=X.nnz * 8 + base_rle.n_runs * 16,
-                )
-            # host -> device: instance ids + (compressed) values + targets.
-            # RLE shrinks the PCI-e traffic (Section III-C advantage (i)).
-            value_bytes = base_rle.n_runs * 8 if used_rle else X.nnz * 4
-            device.transfer("upload_training_data", X.nnz * 4 + value_bytes)
+            for shard in shards:
+                cols = shard.cols
+                with shard.device.phase("setup"):
+                    if used_rle:
+                        shard.base_rle = encode_segments(cols.values, cols.col_offsets)
+                        shard.device.launch(
+                            "rle_compress_initial",
+                            elements=cols.nnz,
+                            flops_per_element=2.0,
+                            coalesced_bytes=cols.nnz * 8 + shard.base_rle.n_runs * 16,
+                        )
+                    # host -> device: instance ids + (compressed) values.  RLE
+                    # shrinks the PCI-e traffic (Section III-C advantage (i)).
+                    value_bytes = shard.base_rle.n_runs * 8 if used_rle else cols.nnz * 4
+                    shard.device.transfer("upload_training_data", cols.nnz * 4 + value_bytes)
+                    self._register_memory(shard, n, used_rle)
             device.transfer("upload_targets", n * 4 * self.row_scale, scale=False)
-            self._register_memory(X, used_rle, base_rle)
+        n_runs = sum(s.base_rle.n_runs for s in shards) if used_rle else 0
+        compression_ratio = X.nnz / n_runs if n_runs else 1.0
 
         gc = GradientComputer(
             device,
@@ -274,13 +363,13 @@ class GPUGBDTTrainer:
             # sampling sequence exactly where the init model stopped
             t_idx = round_offset + t
             t_round = time.perf_counter()
-            with span("boost_round", tree=t_idx):
+            with self._boost_round(t_idx, n):
                 with device.phase("gradients"), span("gradients"):
                     g, h = gc.compute()
                 sample = sample_tree(
                     p.seed, t_idx, n, d, p.subsample, p.colsample_bytree
                 )
-                tree = self._grow_tree(X, g, h, cols, base_rle, used_rle, gc, sample)
+                tree = self._grow_tree(g, h, shards, used_rle, gc, sample)
                 if not sample.inst_mask.all():
                     gc.apply_tree_to(tree, np.flatnonzero(~sample.inst_mask))
                 gc.on_tree_finished(tree)
@@ -293,12 +382,13 @@ class GPUGBDTTrainer:
             round_seconds.observe(time.perf_counter() - t_round)
         registry.gauge(
             "train_compression_ratio", "RLE compression ratio of the last run"
-        ).set(base_rle.compression_ratio if base_rle is not None else 1.0)
-        self.workspace.publish_metrics()
+        ).set(compression_ratio)
+        for shard in shards:
+            shard.workspace.publish_metrics()
 
         self.report = TrainReport(
             used_rle=used_rle,
-            compression_ratio=base_rle.compression_ratio if base_rle is not None else 1.0,
+            compression_ratio=compression_ratio,
             n_nodes_total=n_nodes_total,
             n_leaves_total=n_leaves_total,
             tree_sizes=[t.n_nodes for t in trees],
@@ -309,70 +399,178 @@ class GPUGBDTTrainer:
         )
 
     # ------------------------------------------------------------- tree grow
-    def _grow_tree(
-        self,
-        X: CSRMatrix,
-        g: np.ndarray,
-        h: np.ndarray,
-        cols,
-        base_rle: RunLengthColumns | None,
-        used_rle: bool,
-        gc: GradientComputer,
-        sample: TreeSample | None = None,
-    ) -> DecisionTree:
-        p = self.params
-        device = self.device
-        ws = self.workspace
-        n, d = X.shape
-        if sample is None:
-            sample = sample_tree(p.seed, 0, n, d, 1.0, 1.0)
-        self._tree_attrs = sample.attrs  # local -> global attribute map
-
-        tree = DecisionTree()
-
-        # per-tree working copies of the (compressed) attribute lists; on the
-        # device this is the first scatter into the double buffer
-        if sample.is_trivial:
-            inst_arr = cols.inst.copy()
-            vals = None if used_rle else cols.values.copy()
-            rle_state = base_rle
-            layout = SegmentLayout(cols.col_offsets.copy(), 1, d)
-            inst2local = np.zeros(n, dtype=np.int64)
-            n_inc = n
+    def _stage(self, shard: _Shard, sample: TreeSample, used_rle: bool) -> None:
+        """Per-tree working copies of a shard's (compressed) attribute lists;
+        on the device this is the first scatter into the double buffer."""
+        cols = shard.cols
+        local = np.flatnonzero(np.isin(shard.attrs, sample.attrs))
+        shard.tree_attrs = shard.attrs[local]
+        if local.size == shard.attrs.size and sample.inst_mask.all():
+            shard.inst = cols.inst.copy()
+            shard.vals = None if used_rle else cols.values.copy()
+            shard.rle = shard.base_rle
+            offsets = cols.col_offsets.copy()
         else:
             # stochastic round: keep only the sampled rows/columns (an extra
             # compaction pass over the staged lists)
             parts_i, parts_v, lens = [], [], []
-            for a in sample.attrs:
+            for a in local:
                 lo, hi = cols.col_offsets[a], cols.col_offsets[a + 1]
                 inst_a = cols.inst[lo:hi]
                 keep = sample.inst_mask[inst_a]
                 parts_i.append(inst_a[keep])
                 parts_v.append(cols.values[lo:hi][keep])
                 lens.append(int(keep.sum()))
-            inst_arr = (
+            shard.inst = (
                 np.concatenate(parts_i) if parts_i else np.empty(0, np.int64)
             )
             stage_vals = (
                 np.concatenate(parts_v) if parts_v else np.empty(0)
             )
             offsets = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
-            layout = SegmentLayout(offsets, 1, sample.attrs.size)
             if used_rle:
-                rle_state = encode_segments(stage_vals, offsets)
-                vals = None
+                shard.rle = encode_segments(stage_vals, offsets)
+                shard.vals = None
             else:
-                rle_state = None
-                vals = stage_vals
-            inst2local = np.where(sample.inst_mask, 0, -1).astype(np.int64)
-            n_inc = sample.n_included
-        tree.add_root(n_inc)
-        device.launch(
+                shard.rle = None
+                shard.vals = stage_vals
+        shard.layout = SegmentLayout(offsets, 1, local.size)
+        shard.device.launch(
             "stage_attribute_lists",
-            elements=X.nnz,
+            elements=cols.nnz,
             flops_per_element=0.5,
-            coalesced_bytes=X.nnz * 16,
+            coalesced_bytes=cols.nnz * 16,
         )
+
+    def _override_sides(
+        self, shard: _Shard, best: NodeBestSplits, owned: np.ndarray, side_inst: np.ndarray
+    ) -> None:
+        """Present entries of the chosen segments override the default side
+        (a positional split: entries before ``elem_pos`` go left)."""
+        ws = shard.workspace
+        layout = shard.layout
+        S = layout.n_segments
+        n_el = layout.n_elements
+        split_pos = np.full(S, -1, dtype=np.int64)
+        split_pos[best.seg[owned]] = best.elem_pos[owned]
+        if ws.enabled:
+            pos_ent = ws.buf("tree/pos_ent", n_el, IDX_DTYPE)
+            np.take(split_pos, shard.sid, out=pos_ent)
+            chosen = ws.buf("tree/chosen", n_el, bool)
+            np.greater_equal(pos_ent, 0, out=chosen)
+            elem_left = ws.buf("tree/elem_left", n_el, bool)
+            np.less(ws.arange(n_el), pos_ent, out=elem_left)
+            side_inst[shard.inst[chosen]] = np.where(elem_left[chosen], 0, 1)
+        else:
+            sid = np.repeat(np.arange(S, dtype=np.int64), np.diff(layout.offsets))
+            chosen = split_pos[sid] >= 0
+            elem_idx = np.arange(n_el, dtype=np.int64)
+            elem_side = (elem_idx < split_pos[sid]).astype(np.int8)
+            side_inst[shard.inst[chosen]] = np.where(elem_side[chosen] == 1, 0, 1)
+
+    def _partition_shard(
+        self, shard: _Shard, split_mask: np.ndarray, new_local_of: np.ndarray,
+        side_inst: np.ndarray, k: int, used_rle: bool, depth: int,
+    ) -> None:
+        """Order-preserving partition of a shard's lists into the children."""
+        p = self.params
+        device = shard.device
+        ws = shard.workspace
+        layout = shard.layout
+        d_used = layout.n_attrs
+        seg_node = layout.seg_node()
+        seg_attr = layout.seg_attr()
+        splitting_seg = split_mask[seg_node]
+        child_base = new_local_of[seg_node]
+        left_seg = np.where(splitting_seg, child_base * d_used + seg_attr, -1)
+        right_seg = np.where(splitting_seg, (child_base + 1) * d_used + seg_attr, -1)
+
+        if ws.enabled:
+            side_ent = ws.buf("tree/side_ent", layout.n_elements, np.int8)
+            np.take(side_inst, shard.inst, out=side_ent)
+        else:
+            side_ent = side_inst[shard.inst]
+        plan = plan_partition(
+            int(layout.n_elements * device.work_scale),
+            k,
+            max_counter_mem_bytes=p.max_counter_mem_bytes,
+            use_custom_workload=p.use_custom_workload,
+            fixed_thread_workload=p.fixed_thread_workload,
+        )
+        # the decompression strategy consumes -1-coded drops, so the
+        # trash-slot scatter is reserved for the other code paths
+        use_trash = ws.enabled and (not used_rle or p.use_direct_rle)
+        dest, new_offsets = partition_segments(
+            device,
+            layout.offsets,
+            side_ent,
+            left_seg,
+            right_seg,
+            2 * k * d_used,
+            plan,
+            bytes_per_element=8 if used_rle else 16,
+            workspace=ws,
+            sid=shard.sid,
+            drop_to_trash=use_trash,
+        )
+        n_new = int(new_offsets[-1])
+        if use_trash:
+            # full-array stable scatter: dropped elements pile into the
+            # single trash slot past the end, no boolean compression
+            pp = depth % 2
+            new_inst = ws.buf(f"tree/inst/{pp}", n_new + 1, IDX_DTYPE)
+            new_inst[dest] = shard.inst
+            new_inst = new_inst[:n_new]
+            if used_rle:
+                shard.rle = split_runs_direct(
+                    device,
+                    shard.rle,
+                    side_ent,
+                    left_seg,
+                    right_seg,
+                    2 * k * d_used,
+                    workspace=ws,
+                    parity=depth,
+                )
+            else:
+                val_buf = ws.buf(f"tree/vals/{pp}", n_new + 1, np.float64)
+                val_buf[dest] = shard.vals
+                shard.vals = val_buf[:n_new]
+        else:
+            keep = dest >= 0
+            new_inst = np.empty(n_new, dtype=np.int64)
+            new_inst[dest[keep]] = shard.inst[keep]
+            if used_rle:
+                if p.use_direct_rle:
+                    shard.rle = split_runs_direct(
+                        device, shard.rle, side_ent, left_seg, right_seg, 2 * k * d_used
+                    )
+                else:
+                    shard.rle = split_runs_with_decompression(
+                        device, shard.rle, dest, new_offsets
+                    )
+            else:
+                new_vals = np.empty(n_new, dtype=np.float64)
+                new_vals[dest[keep]] = shard.vals[keep]
+                shard.vals = new_vals
+        shard.inst = new_inst
+        shard.layout = SegmentLayout(new_offsets, 2 * k, d_used)
+
+    def _grow_tree(
+        self, g: np.ndarray, h: np.ndarray, shards: List[_Shard], used_rle: bool,
+        gc: GradientComputer, sample: TreeSample,
+    ) -> DecisionTree:
+        p = self.params
+        device = self.device
+        ws = self.workspace
+        n = g.size
+
+        tree = DecisionTree()
+        for shard in shards:
+            self._stage(shard, sample, used_rle)
+        # a column-sampled tree may leave a shard without attributes
+        shards = [s for s in shards if s.tree_attrs.size]
+        tree.add_root(sample.n_included)
 
         node_tree_ids = np.array([0], dtype=np.int64)
         with device.phase("gradients"), span("gradients"):
@@ -385,28 +583,41 @@ class GPUGBDTTrainer:
                 device, np.zeros(included.size, np.int64), h[included], 1,
                 name="node_hessian_totals",
             )
-        node_n = np.array([n_inc], dtype=np.int64)
+        node_n = np.array([sample.n_included], dtype=np.int64)
+        inst2local = np.where(sample.inst_mask, 0, -1).astype(np.int64)
 
         for _depth in range(p.max_depth):
             n_active = node_tree_ids.size
             if n_active == 0:
                 break
-            # one element -> segment map per level, shared by split finding,
-            # instance routing, and the partition scatter
-            sid = ws.seg_ids("tree/sid", layout.offsets, layout.n_elements) if ws.enabled else None
-            with device.phase("find_split"), span("find_split", depth=_depth, nodes=n_active):
-                if used_rle:
-                    best = find_best_splits_rle(
-                        device, rle_state, inst_arr, layout, g, h, node_g, node_h, node_n,
-                        lambda_=p.lambda_, setkey_enabled=p.use_custom_setkey, setkey_c=p.setkey_c,
-                        workspace=ws,
-                    )
-                else:
-                    best = find_best_splits_sparse(
-                        device, vals, inst_arr, layout, g, h, node_g, node_h, node_n,
-                        lambda_=p.lambda_, setkey_enabled=p.use_custom_setkey, setkey_c=p.setkey_c,
-                        workspace=ws, sid=sid,
-                    )
+            # one element -> segment map per shard and level, shared by split
+            # finding, instance routing, and the partition scatter
+            for shard in shards:
+                sws = shard.workspace
+                shard.sid = (
+                    sws.seg_ids("tree/sid", shard.layout.offsets, shard.layout.n_elements)
+                    if sws.enabled else None
+                )
+            bests = []
+            with span("find_split", depth=_depth, nodes=n_active):
+                for shard in shards:
+                    with shard.device.phase("find_split"):
+                        if used_rle:
+                            best = find_best_splits_rle(
+                                shard.device, shard.rle, shard.inst, shard.layout, g, h,
+                                node_g, node_h, node_n, lambda_=p.lambda_,
+                                setkey_enabled=p.use_custom_setkey, setkey_c=p.setkey_c,
+                                workspace=shard.workspace,
+                            )
+                        else:
+                            best = find_best_splits_sparse(
+                                shard.device, shard.vals, shard.inst, shard.layout, g, h,
+                                node_g, node_h, node_n, lambda_=p.lambda_,
+                                setkey_enabled=p.use_custom_setkey, setkey_c=p.setkey_c,
+                                workspace=shard.workspace, sid=shard.sid,
+                            )
+                    bests.append(best)
+            best, owner = self._combine_splits(shards, bests)
 
             split_mask = best.found & (best.gain > p.gamma)
 
@@ -429,7 +640,7 @@ class GPUGBDTTrainer:
                 for j, loc in enumerate(split_locals):
                     lid, rid = tree.split_node(
                         int(node_tree_ids[loc]),
-                        int(self._tree_attrs[best.attr[loc]]),
+                        int(best.attr[loc]),
                         float(best.threshold[loc]),
                         bool(best.default_left[loc]),
                         float(best.gain[loc]),
@@ -461,36 +672,7 @@ class GPUGBDTTrainer:
                     local_safe = np.maximum(inst2local, 0)
                     active = (inst2local >= 0) & split_mask[local_safe]
                     side_inst[active] = default_side[inst2local[active]]
-
-                # present entries of the chosen segments override the default
-                S = layout.n_segments
-                n_el = layout.n_elements
-                split_pos = np.full(S, -1, dtype=np.int64)
-                split_pos[best.seg[split_locals]] = best.elem_pos[split_locals]
-                if ws.enabled:
-                    pos_ent = ws.buf("tree/pos_ent", n_el, IDX_DTYPE)
-                    np.take(split_pos, sid, out=pos_ent)
-                    chosen = ws.buf("tree/chosen", n_el, bool)
-                    np.greater_equal(pos_ent, 0, out=chosen)
-                    elem_left = ws.buf("tree/elem_left", n_el, bool)
-                    np.less(ws.arange(n_el), pos_ent, out=elem_left)
-                    side_inst[inst_arr[chosen]] = np.where(elem_left[chosen], 0, 1)
-                else:
-                    sid = np.repeat(np.arange(S, dtype=np.int64), np.diff(layout.offsets))
-                    chosen = split_pos[sid] >= 0
-                    elem_idx = np.arange(n_el, dtype=np.int64)
-                    elem_side = (elem_idx < split_pos[sid]).astype(np.int8)
-                    side_inst[inst_arr[chosen]] = np.where(elem_side[chosen] == 1, 0, 1)
-                device.launch(
-                    "update_instance_to_node",
-                    elements=n * self.row_scale,
-                    flops_per_element=2.0,
-                    coalesced_bytes=n * self.row_scale * 9,
-                    irregular_bytes=node_n[split_locals].sum()
-                    * (self.device.work_scale / max(d, 1))
-                    * 4,
-                    scale=False,
-                )
+                self._materialize_sides(shards, best, owner, split_locals, side_inst, node_n)
 
                 if ws.enabled:
                     # ping-pong: read the previous level's map, write this one's
@@ -503,85 +685,12 @@ class GPUGBDTTrainer:
                 else:
                     inst2local = np.where(active, new_local_of[local_safe] + side_inst, -1)
 
-                # ---- partition the attribute lists -------------------------
-                d_used = layout.n_attrs
-                seg_node = layout.seg_node()
-                seg_attr = layout.seg_attr()
-                splitting_seg = split_mask[seg_node]
-                child_base = new_local_of[seg_node]
-                left_seg = np.where(splitting_seg, child_base * d_used + seg_attr, -1)
-                right_seg = np.where(splitting_seg, (child_base + 1) * d_used + seg_attr, -1)
-
-                if ws.enabled:
-                    side_ent = ws.buf("tree/side_ent", n_el, np.int8)
-                    np.take(side_inst, inst_arr, out=side_ent)
-                else:
-                    side_ent = side_inst[inst_arr]
-                plan = plan_partition(
-                    int(layout.n_elements * device.work_scale),
-                    k,
-                    max_counter_mem_bytes=p.max_counter_mem_bytes,
-                    use_custom_workload=p.use_custom_workload,
-                    fixed_thread_workload=p.fixed_thread_workload,
-                )
-                # the decompression strategy consumes -1-coded drops, so the
-                # trash-slot scatter is reserved for the other code paths
-                use_trash = ws.enabled and (not used_rle or p.use_direct_rle)
-                dest, new_offsets = partition_segments(
-                    device,
-                    layout.offsets,
-                    side_ent,
-                    left_seg,
-                    right_seg,
-                    2 * k * d_used,
-                    plan,
-                    bytes_per_element=8 if used_rle else 16,
-                    workspace=ws,
-                    sid=sid,
-                    drop_to_trash=use_trash,
-                )
-                n_new = int(new_offsets[-1])
-                if use_trash:
-                    # full-array stable scatter: dropped elements pile into the
-                    # single trash slot past the end, no boolean compression
-                    pp = _depth % 2
-                    new_inst = ws.buf(f"tree/inst/{pp}", n_new + 1, IDX_DTYPE)
-                    new_inst[dest] = inst_arr
-                    new_inst = new_inst[:n_new]
-                    if used_rle:
-                        rle_state = split_runs_direct(
-                            device,
-                            rle_state,
-                            side_ent,
-                            left_seg,
-                            right_seg,
-                            2 * k * d_used,
-                            workspace=ws,
-                            parity=_depth,
+                # ---- partition every shard's attribute lists ---------------
+                for shard in shards:
+                    with shard.device.phase("split_node"):
+                        self._partition_shard(
+                            shard, split_mask, new_local_of, side_inst, k, used_rle, _depth
                         )
-                    else:
-                        val_buf = ws.buf(f"tree/vals/{pp}", n_new + 1, np.float64)
-                        val_buf[dest] = vals
-                        vals = val_buf[:n_new]
-                else:
-                    keep = dest >= 0
-                    new_inst = np.empty(n_new, dtype=np.int64)
-                    new_inst[dest[keep]] = inst_arr[keep]
-                    if used_rle:
-                        if p.use_direct_rle:
-                            rle_state = split_runs_direct(
-                                device, rle_state, side_ent, left_seg, right_seg, 2 * k * d_used
-                            )
-                        else:
-                            rle_state = split_runs_with_decompression(
-                                device, rle_state, dest, new_offsets
-                            )
-                    else:
-                        new_vals = np.empty(n_new, dtype=np.float64)
-                        new_vals[dest[keep]] = vals[keep]
-                        vals = new_vals
-                inst_arr = new_inst
-                layout = SegmentLayout(new_offsets, 2 * k, d_used)
 
                 # ---- child statistics from the chosen splits ---------------
                 lg = best.left_g[split_locals]

@@ -288,6 +288,17 @@ class CSCMatrix:
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return self.indices[lo:hi], self.data[lo:hi]
 
+    def select_columns(self, idx: np.ndarray) -> "CSCMatrix":
+        """New CSC with the given columns, in the given order (one device's
+        attribute shard in multi-GPU training)."""
+        idx = np.asarray(idx, dtype=np.int64)
+        lens = np.diff(self.indptr)[idx]
+        indptr = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+        gather = np.concatenate(
+            [np.arange(self.indptr[j], self.indptr[j + 1]) for j in idx]
+        ) if idx.size else np.empty(0, dtype=np.int64)
+        return CSCMatrix(indptr, self.indices[gather], self.data[gather], n_rows=self.n_rows)
+
     def to_csr(self) -> CSRMatrix:
         """Transpose back (counting-sort, stable)."""
         order = np.argsort(self.indices, kind="stable")

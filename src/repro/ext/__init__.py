@@ -5,7 +5,6 @@ study (iii)."""
 from .crossval import CVResult, FoldResult, cross_validate, kfold_indices
 from .hyperband import BudgetedRun, SearchConfig, SearchSummary, TimeBudgetSearch, paper_search_grid
 from .multigpu import MultiGpuGBDTTrainer
-from .outofcore import OutOfCoreGBDTTrainer, plan_column_groups
 
 __all__ = [
     "CVResult",
@@ -18,6 +17,4 @@ __all__ = [
     "TimeBudgetSearch",
     "paper_search_grid",
     "MultiGpuGBDTTrainer",
-    "OutOfCoreGBDTTrainer",
-    "plan_column_groups",
 ]

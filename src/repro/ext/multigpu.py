@@ -7,22 +7,31 @@ adopted by ThunderGBM.  Attributes are sharded round-robin across devices;
 every device holds the full instance set but only its attributes' sorted
 (optionally RLE-compressed) lists.
 
-Per level:
+:class:`MultiGpuGBDTTrainer` is a :class:`~repro.core.trainer.GPUGBDTTrainer`
+whose exact level loop runs over one attribute shard per device.  Setup,
+sampling, validation, warm start and the loop itself are inherited; the
+subclass overrides four hooks:
 
-1. every device finds the best split of every active node *among its own
-   attributes* (the unmodified single-GPU kernels of
-   :mod:`repro.core.split`);
-2. the per-node winners are combined across devices (an allreduce of a few
-   dozen bytes per node; ties break to the globally lowest attribute, the
-   single-GPU rule);
-3. the device owning each winning attribute materializes the instance
-   routing and the side array is broadcast (1 byte per instance per peer,
-   charged as PCIe traffic);
-4. every device partitions its own lists locally.
+``_make_shards``
+    round-robin attributes, one :class:`~repro.gpusim.kernel.GpuDevice`
+    (and one workspace arena) each; a device left without attributes idles.
+``_combine_splits``
+    every device has found the best split of every active node *among its
+    own attributes*; the per-node winner is the strictly highest gain, ties
+    going to the lowest global attribute (the single-GPU rule).  Every
+    shard is charged the ``allreduce_best_splits`` exchange before leaves
+    are decided.
+``_materialize_sides``
+    the device owning each winning attribute writes the instance sides of
+    its segments and broadcasts the side array (1 byte per instance per
+    peer, ``broadcast_side_array``).
+``_boost_round``
+    gradients are computed on device 0; every other device is charged
+    ``broadcast_gradients`` once per round.
 
-Gradients are computed on device 0 and broadcast each round.  The trees are
-bit-identical to single-GPU training (asserted by ``tests/test_multigpu.py``)
-because every decision consumes the same float32-quantized gains.
+Each device then partitions its own lists.  The trees are bit-identical to
+single-GPU training (asserted by ``tests/test_multigpu.py``) because every
+decision consumes the same float32-quantized gains.
 
 The modeled wall time is the slowest device's ledger (shards are balanced,
 communication is charged to the devices that perform it).
@@ -30,20 +39,16 @@ communication is charged to the devices that perform it).
 
 from __future__ import annotations
 
-from typing import List
+import contextlib
+import dataclasses
+from typing import List, Tuple
 
 import numpy as np
 
-from ..core.booster_model import GBDTModel
 from ..core.params import GBDTParams
-from ..core.partition import partition_segments, plan_partition
-from ..core.rle_split import split_runs_direct, split_runs_with_decompression
-from ..core.smartgd import GradientComputer
-from ..core.split import SegmentLayout, find_best_splits_rle, find_best_splits_sparse
-from ..core.tree import DecisionTree
-from ..data.matrix import CSCMatrix, CSRMatrix
-from ..data.rle import decide_compression, encode_segments
-from ..data.sorted_columns import build_sorted_columns
+from ..core.split import NodeBestSplits
+from ..core.trainer import GPUGBDTTrainer, _Shard
+from ..core.workspace import WorkspaceArena
 from ..gpusim.device import TITAN_X_PASCAL, DeviceSpec
 from ..gpusim.kernel import GpuDevice
 from ..obs import get_registry, span
@@ -51,33 +56,17 @@ from ..obs import get_registry, span
 __all__ = ["MultiGpuGBDTTrainer"]
 
 
-def _comm(trainer: str, op: str, nbytes: float) -> None:
+def _comm(op: str, nbytes: float) -> None:
     """Count inter-device payload bytes next to the ledger charge."""
     get_registry().counter(
         "comm_bytes_total",
         "inter-device communication payload bytes",
-        trainer=trainer,
+        trainer="multigpu",
         op=op,
     ).inc(float(nbytes))
 
 
-class _Shard:
-    """Per-device training state: the device and its attribute slice."""
-
-    def __init__(self, device: GpuDevice, attrs: np.ndarray) -> None:
-        self.device = device
-        self.attrs = attrs  # global attribute ids, ascending
-        self.inst: np.ndarray | None = None
-        self.vals: np.ndarray | None = None
-        self.rle = None
-        self.layout: SegmentLayout | None = None
-        self.base_inst: np.ndarray | None = None
-        self.base_vals: np.ndarray | None = None
-        self.base_rle = None
-        self.base_offsets: np.ndarray | None = None
-
-
-class MultiGpuGBDTTrainer:
+class MultiGpuGBDTTrainer(GPUGBDTTrainer):
     """Attribute-parallel GBDT training over ``n_devices`` simulated GPUs."""
 
     def __init__(
@@ -92,246 +81,88 @@ class MultiGpuGBDTTrainer:
     ) -> None:
         if n_devices < 1:
             raise ValueError("need at least one device")
-        self.params = params if params is not None else GBDTParams()
-        self.devices = [
+        devices = [
             GpuDevice(spec, work_scale=work_scale, seg_scale=seg_scale)
             for _ in range(n_devices)
         ]
-        self.row_scale = float(row_scale)
-        self.used_rle = False
+        super().__init__(params, devices[0], row_scale=row_scale)
+        self.devices = devices
+        # device 0's shard shares the trainer's arena; the rest get their own
+        self._arenas = [self.workspace] + [
+            WorkspaceArena(enabled=self.use_arena) for _ in devices[1:]
+        ]
 
     @property
     def n_devices(self) -> int:
         return len(self.devices)
 
+    @property
+    def used_rle(self) -> bool:
+        """Whether the last fit ran on RLE-compressed lists."""
+        return self.report is not None and self.report.used_rle
+
     def elapsed_seconds(self) -> float:
         """Modeled wall time: the slowest device (shards run concurrently)."""
         return max(dev.elapsed_seconds() for dev in self.devices)
 
-    # ------------------------------------------------------------------- fit
-    def fit(self, X: CSRMatrix, y: np.ndarray) -> GBDTModel:
-        """Shard attributes across devices and train (see module docs)."""
-        p = self.params
-        y = np.asarray(y, dtype=np.float64)
-        n, d = X.shape
+    # ------------------------------------------------------------------ hooks
+    def _make_shards(self, n_cols: int) -> List[_Shard]:
         k = self.n_devices
+        return [
+            _Shard(dev, np.arange(di, n_cols, k, dtype=np.int64), ws)
+            for di, (dev, ws) in enumerate(zip(self.devices, self._arenas))
+            if di < n_cols
+        ]
 
-        csc = X.to_csc()
-        # one global compression decision so every shard uses the same path
-        full_cols_sorted = build_sorted_columns(csc)  # host-side, for the decision
-        self.used_rle = p.use_rle and decide_compression(
-            p.rle_policy,
-            n_rows=n,
-            n_cols=d,
-            values=full_cols_sorted.values,
-            offsets=full_cols_sorted.col_offsets,
-            paper_threshold=p.rle_paper_threshold,
-            measured_threshold=p.rle_measured_threshold,
-        )
+    @contextlib.contextmanager
+    def _boost_round(self, t_idx: int, n_rows: int):
+        with span("multigpu.boost_round", round=t_idx, devices=self.n_devices):
+            # the peers idle while device 0 computes the gradients, so the
+            # broadcast is charged up front
+            nbytes = n_rows * 16 * self.row_scale
+            for dev in self.devices[1:]:
+                dev.transfer("broadcast_gradients", nbytes, scale=False)
+                _comm("broadcast_gradients", nbytes)
+            yield
 
-        shards: List[_Shard] = []
-        for di in range(k):
-            attrs = np.arange(di, d, k, dtype=np.int64)  # round-robin
-            if attrs.size == 0:
-                continue  # more devices than attributes: this one idles
-            shard = _Shard(self.devices[di], attrs)
-            sub = self._column_subset(csc, attrs)
-            with shard.device.phase("setup"):
-                cols = build_sorted_columns(sub, shard.device)
-                shard.base_inst = cols.inst
-                shard.base_offsets = cols.col_offsets
-                if self.used_rle:
-                    shard.base_rle = encode_segments(cols.values, cols.col_offsets)
-                    shard.device.launch(
-                        "rle_compress_initial",
-                        elements=cols.nnz,
-                        flops_per_element=2.0,
-                        coalesced_bytes=cols.nnz * 8 + shard.base_rle.n_runs * 16,
-                    )
-                    value_bytes = shard.base_rle.n_runs * 8
-                else:
-                    shard.base_vals = cols.values
-                    value_bytes = cols.nnz * 4
-                shard.device.transfer("upload_shard", cols.nnz * 4 + value_bytes)
-            shards.append(shard)
-
-        gc = GradientComputer(
-            self.devices[0], p.loss_fn, y,
-            use_smartgd=p.use_smartgd, row_scale=self.row_scale, X=X,
-        )
-
-        trees: List[DecisionTree] = []
-        for round_ in range(p.n_trees):
-            with span(
-                "multigpu.boost_round", round=round_, devices=k, rle=self.used_rle
-            ):
-                with self.devices[0].phase("gradients"):
-                    g, h = gc.compute()
-                for dev in self.devices[1:]:
-                    dev.transfer(
-                        "broadcast_gradients", n * 16 * self.row_scale, scale=False
-                    )
-                    _comm(
-                        "multigpu", "broadcast_gradients", n * 16 * self.row_scale
-                    )
-                tree = self._grow_tree(shards, X, g, h, gc)
-                gc.on_tree_finished(tree)
-                trees.append(tree)
-        return GBDTModel(trees=trees, params=p, base_score=p.loss_fn.base_score(y))
-
-    # ---------------------------------------------------------------- helpers
-    @staticmethod
-    def _column_subset(csc: CSCMatrix, attrs: np.ndarray) -> CSCMatrix:
-        """CSC restricted to the given columns (in the given order)."""
-        parts_idx = [csc.indices[csc.indptr[j] : csc.indptr[j + 1]] for j in attrs]
-        parts_val = [csc.data[csc.indptr[j] : csc.indptr[j + 1]] for j in attrs]
-        lens = np.array([p.size for p in parts_idx], dtype=np.int64)
-        indptr = np.concatenate(([0], np.cumsum(lens)))
-        indices = np.concatenate(parts_idx) if parts_idx else np.empty(0, np.int64)
-        data = np.concatenate(parts_val) if parts_val else np.empty(0)
-        return CSCMatrix(indptr, indices, data, n_rows=csc.n_rows)
-
-    # --------------------------------------------------------------- growing
-    def _grow_tree(
-        self,
-        shards: List[_Shard],
-        X: CSRMatrix,
-        g: np.ndarray,
-        h: np.ndarray,
-        gc: GradientComputer,
-    ) -> DecisionTree:
-        p = self.params
-        n, d = X.shape
-        k = self.n_devices
-
-        tree = DecisionTree()
-        tree.add_root(n)
-
+    def _combine_splits(
+        self, shards: List[_Shard], bests: List[NodeBestSplits]
+    ) -> Tuple[NodeBestSplits, np.ndarray]:
+        n_active = bests[0].gain.size
+        owner = np.full(n_active, -1, dtype=np.int64)
+        gain = np.full(n_active, -np.inf)
+        attr = np.full(n_active, -1, dtype=np.int64)
+        for si, (shard, b) in enumerate(zip(shards, bests)):
+            gattr = np.where(b.found, shard.tree_attrs[np.maximum(b.attr, 0)], -1)
+            better = b.found & ((b.gain > gain) | ((b.gain == gain) & (gattr < attr)))
+            owner[better] = si
+            gain[better] = b.gain[better]
+            attr[better] = gattr[better]
+        nbytes = n_active * 64 * (self.n_devices - 1)
         for shard in shards:
-            shard.inst = shard.base_inst.copy()
-            shard.vals = None if self.used_rle else shard.base_vals.copy()
-            shard.rle = shard.base_rle
-            shard.layout = SegmentLayout(shard.base_offsets.copy(), 1, shard.attrs.size)
-            shard.device.launch(
-                "stage_attribute_lists",
-                elements=shard.base_inst.size,
-                flops_per_element=0.5,
-                coalesced_bytes=shard.base_inst.size * 16,
-            )
+            shard.device.transfer("allreduce_best_splits", nbytes, scale=False)
+            _comm("allreduce_best_splits", nbytes)
+        # every other field comes from the owner's record
+        pick = (np.maximum(owner, 0), np.arange(n_active))
+        fields = {
+            f.name: np.stack([getattr(b, f.name) for b in bests])[pick]
+            for f in dataclasses.fields(NodeBestSplits)
+        }
+        fields.update(gain=gain, attr=attr)
+        return NodeBestSplits(**fields), owner
 
-        inst2local = np.zeros(n, dtype=np.int64)
-        node_tree_ids = np.array([0], dtype=np.int64)
-        node_g = np.array([float(np.bincount(np.zeros(n, np.int64), weights=g)[0])])
-        node_h = np.array([float(np.bincount(np.zeros(n, np.int64), weights=h)[0])])
-        node_n = np.array([n], dtype=np.int64)
-
-        for _depth in range(p.max_depth):
-            n_active = node_tree_ids.size
-            # 1. local split finding on every shard
-            bests = []
-            for shard in shards:
-                with shard.device.phase("find_split"):
-                    if self.used_rle:
-                        b = find_best_splits_rle(
-                            shard.device, shard.rle, shard.inst, shard.layout,
-                            g, h, node_g, node_h, node_n,
-                            lambda_=p.lambda_, setkey_enabled=p.use_custom_setkey,
-                            setkey_c=p.setkey_c,
-                        )
-                    else:
-                        b = find_best_splits_sparse(
-                            shard.device, shard.vals, shard.inst, shard.layout,
-                            g, h, node_g, node_h, node_n,
-                            lambda_=p.lambda_, setkey_enabled=p.use_custom_setkey,
-                            setkey_c=p.setkey_c,
-                        )
-                bests.append(b)
-
-            # 2. allreduce: global winner per node (ties -> lowest global attr)
-            win_dev = np.full(n_active, -1, dtype=np.int64)
-            win_gain = np.full(n_active, -np.inf)
-            win_attr = np.full(n_active, -1, dtype=np.int64)
-            for di, (shard, b) in enumerate(zip(shards, bests)):
-                gattr = np.where(b.attr >= 0, shard.attrs[np.maximum(b.attr, 0)], -1)
-                better = b.found & (
-                    (b.gain > win_gain)
-                    | ((b.gain == win_gain) & (gattr < win_attr) & (win_attr >= 0))
-                )
-                win_dev[better] = di
-                win_gain[better] = b.gain[better]
-                win_attr[better] = gattr[better]
-            for shard in shards:
-                shard.device.transfer(
-                    "allreduce_best_splits", n_active * 64 * (k - 1), scale=False
-                )
-                _comm(
-                    "multigpu", "allreduce_best_splits", n_active * 64 * (k - 1)
-                )
-
-            split_mask = (win_dev >= 0) & (win_gain > p.gamma)
-
-            # 3. leaves
-            leaf_locals = np.flatnonzero(~split_mask)
-            if leaf_locals.size:
-                values = np.zeros(n_active)
-                values[leaf_locals] = (
-                    -p.learning_rate * node_g[leaf_locals] / (node_h[leaf_locals] + p.lambda_)
-                )
-                for loc in leaf_locals:
-                    tree.set_leaf(int(node_tree_ids[loc]), float(values[loc]))
-                is_leaf_local = np.zeros(n_active, dtype=bool)
-                is_leaf_local[leaf_locals] = True
-                safe = np.maximum(inst2local, 0)
-                settled = (inst2local >= 0) & is_leaf_local[safe]
-                ids = np.flatnonzero(settled)
-                gc.on_leaves(ids, values[inst2local[ids]])
-                inst2local[ids] = -1
-            if not split_mask.any():
-                break
-
-            split_locals = np.flatnonzero(split_mask)
-            kk = split_locals.size
-
-            # 4. tree bookkeeping with the winners' records
-            new_tree_ids = np.empty(2 * kk, dtype=np.int64)
-            for j, loc in enumerate(split_locals):
-                b = bests[win_dev[loc]]
-                lid, rid = tree.split_node(
-                    int(node_tree_ids[loc]),
-                    int(win_attr[loc]),
-                    float(b.threshold[loc]),
-                    bool(b.default_left[loc]),
-                    float(b.gain[loc]),
-                    n_left=int(b.left_n[loc]),
-                    n_right=int(node_n[loc] - b.left_n[loc]),
-                )
-                new_tree_ids[2 * j] = lid
-                new_tree_ids[2 * j + 1] = rid
-
-            # 5. instance routing: winner devices materialize the side array
-            new_local_of = np.full(n_active, -1, dtype=np.int64)
-            new_local_of[split_locals] = 2 * np.arange(kk, dtype=np.int64)
-            side_inst = np.full(n, -1, dtype=np.int8)
-            safe = np.maximum(inst2local, 0)
-            active = (inst2local >= 0) & split_mask[safe]
-            for loc in split_locals:
-                b = bests[win_dev[loc]]
-                default = 0 if b.default_left[loc] else 1
-                members = active & (inst2local == loc)
-                side_inst[members] = default
-            for di, shard in enumerate(shards):
-                owned = split_locals[win_dev[split_locals] == di]
-                if owned.size == 0:
-                    continue
-                b = bests[di]
-                S = shard.layout.n_segments
-                split_pos = np.full(S, -1, dtype=np.int64)
-                split_pos[b.seg[owned]] = b.elem_pos[owned]
-                sid = np.repeat(np.arange(S, dtype=np.int64), np.diff(shard.layout.offsets))
-                chosen = split_pos[sid] >= 0
-                elem_idx = np.arange(shard.layout.n_elements, dtype=np.int64)
-                es = (elem_idx < split_pos[sid]).astype(np.int8)
-                side_inst[shard.inst[chosen]] = np.where(es[chosen] == 1, 0, 1)
+    def _materialize_sides(
+        self, shards: List[_Shard], best: NodeBestSplits, owner: np.ndarray,
+        split_locals: np.ndarray, side_inst: np.ndarray, node_n: np.ndarray,
+    ) -> None:
+        n = side_inst.size
+        nbytes = n * self.row_scale * (self.n_devices - 1)
+        for si, shard in enumerate(shards):
+            owned = split_locals[owner[split_locals] == si]
+            if owned.size == 0:
+                continue
+            with shard.device.phase("split_node"):
+                self._override_sides(shard, best, owned, side_inst)
                 shard.device.launch(
                     "materialize_instance_sides",
                     elements=n * self.row_scale,
@@ -339,77 +170,5 @@ class MultiGpuGBDTTrainer:
                     coalesced_bytes=n * self.row_scale * 9,
                     scale=False,
                 )
-                shard.device.transfer(
-                    "broadcast_side_array", n * self.row_scale * (k - 1), scale=False
-                )
-                _comm(
-                    "multigpu", "broadcast_side_array", n * self.row_scale * (k - 1)
-                )
-            inst2local = np.where(active, new_local_of[safe] + side_inst, -1)
-
-            # 6. local partitioning on every shard
-            for shard in shards:
-                d_dev = shard.attrs.size
-                seg_node = shard.layout.seg_node()
-                seg_attr = shard.layout.seg_attr()
-                splitting_seg = split_mask[seg_node]
-                child_base = new_local_of[seg_node]
-                left_seg = np.where(splitting_seg, child_base * d_dev + seg_attr, -1)
-                right_seg = np.where(splitting_seg, (child_base + 1) * d_dev + seg_attr, -1)
-                side_ent = side_inst[shard.inst]
-                plan = plan_partition(
-                    int(shard.layout.n_elements * shard.device.work_scale), kk,
-                    max_counter_mem_bytes=p.max_counter_mem_bytes,
-                    use_custom_workload=p.use_custom_workload,
-                    fixed_thread_workload=p.fixed_thread_workload,
-                )
-                with shard.device.phase("split_node"):
-                    dest, new_offsets = partition_segments(
-                        shard.device, shard.layout.offsets, side_ent,
-                        left_seg, right_seg, 2 * kk * d_dev, plan,
-                        bytes_per_element=8 if self.used_rle else 16,
-                    )
-                    keep = dest >= 0
-                    n_new = int(new_offsets[-1])
-                    new_inst = np.empty(n_new, dtype=np.int64)
-                    new_inst[dest[keep]] = shard.inst[keep]
-                    if self.used_rle:
-                        if p.use_direct_rle:
-                            shard.rle = split_runs_direct(
-                                shard.device, shard.rle, side_ent,
-                                left_seg, right_seg, 2 * kk * d_dev,
-                            )
-                        else:
-                            shard.rle = split_runs_with_decompression(
-                                shard.device, shard.rle, dest, new_offsets
-                            )
-                    else:
-                        new_vals = np.empty(n_new)
-                        new_vals[dest[keep]] = shard.vals[keep]
-                        shard.vals = new_vals
-                    shard.inst = new_inst
-                    shard.layout = SegmentLayout(new_offsets, 2 * kk, d_dev)
-
-            # 7. child statistics from the winners
-            lg = np.array([bests[win_dev[loc]].left_g[loc] for loc in split_locals])
-            lh = np.array([bests[win_dev[loc]].left_h[loc] for loc in split_locals])
-            ln = np.array([bests[win_dev[loc]].left_n[loc] for loc in split_locals])
-            pg, ph, pn = node_g[split_locals], node_h[split_locals], node_n[split_locals]
-            node_g = np.empty(2 * kk)
-            node_h = np.empty(2 * kk)
-            node_n = np.empty(2 * kk, dtype=np.int64)
-            node_g[0::2], node_g[1::2] = lg, pg - lg
-            node_h[0::2], node_h[1::2] = lh, ph - lh
-            node_n[0::2], node_n[1::2] = ln, pn - ln
-            node_tree_ids = new_tree_ids
-
-        # depth budget exhausted: finalize the still-active nodes
-        if node_tree_ids.size and (inst2local >= 0).any():
-            values = -p.learning_rate * node_g / (node_h + p.lambda_)
-            for loc in range(node_tree_ids.size):
-                tree.set_leaf(int(node_tree_ids[loc]), float(values[loc]))
-            safe = np.maximum(inst2local, 0)
-            ids = np.flatnonzero(inst2local >= 0)
-            gc.on_leaves(ids, values[inst2local[ids]])
-            inst2local[:] = -1
-        return tree
+                shard.device.transfer("broadcast_side_array", nbytes, scale=False)
+            _comm("broadcast_side_array", nbytes)

@@ -1,10 +1,9 @@
-"""Comm-volume accounting for the ext trainers (multigpu / outofcore).
+"""Comm-volume accounting for the attribute-parallel multi-GPU trainer.
 
-The attribute-parallel and out-of-core trainers charge their inter-device
-traffic to the gpusim ledgers *and* count the same payloads through the obs
-metric ``comm_bytes_total{trainer=,op=}``.  These tests pin both books to
-each other and -- for multigpu -- to closed-form formulas derived by
-replaying the grown trees:
+The trainer charges its inter-device traffic to the gpusim ledgers *and*
+counts the same payloads through the obs metric
+``comm_bytes_total{trainer=,op=}``.  These tests pin both books to each
+other and to closed-form formulas derived by replaying the grown trees:
 
 * ``broadcast_gradients``   = n_trees * (k-1) * n * 16 * row_scale
 * ``allreduce_best_splits`` = sum over trees and executed levels L of
@@ -24,7 +23,6 @@ import numpy as np
 from repro import GBDTParams
 from repro.data import make_dataset
 from repro.ext.multigpu import MultiGpuGBDTTrainer
-from repro.ext.outofcore import OutOfCoreGBDTTrainer
 from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
 
 
@@ -121,57 +119,3 @@ class TestMultiGpuAccounting:
             assert _counter_value(registry, "multigpu", op) == 0.0
             assert _ledger_bytes(trainer.devices, op) == 0.0
 
-
-class TestOutOfCoreAccounting:
-    def _train(self, work_scale=1.0):
-        registry = MetricsRegistry(max_label_sets=1024)
-        tracer = Tracer(enabled=True)
-        with use_registry(registry), use_tracer(tracer):
-            ds = make_dataset("covtype", run_rows=400, seed=3)
-            per_col = int(np.diff(ds.X.to_csc().indptr).max()) * 8 * work_scale
-            trainer = OutOfCoreGBDTTrainer(
-                GBDTParams(n_trees=3, max_depth=4, seed=7),
-                group_budget_bytes=int(per_col * 3) + 64,
-                work_scale=work_scale,
-            )
-            model = trainer.fit(ds.X, ds.y)
-        return ds, trainer, model, registry, tracer
-
-    def test_counters_match_ledger(self):
-        ds, trainer, model, registry, _ = self._train()
-        assert trainer.n_groups_ > 1  # actually streaming
-        for op in ("stream_group_in", "stream_group_out", "download_group_winners"):
-            counted = _counter_value(registry, "outofcore", op)
-            ledgered = _ledger_bytes([trainer.device], op)
-            assert counted == ledgered > 0, (op, counted, ledgered)
-
-    def test_counters_match_ledger_at_scale(self):
-        # stream_group_{in,out} transfers are work_scale-extrapolated in
-        # the ledger; the counters must say the same full-scale bytes
-        # (download_group_winners is scale=False on both books)
-        ds, trainer, model, registry, _ = self._train(work_scale=3.5)
-        assert trainer.n_groups_ > 1
-        for op in ("stream_group_in", "stream_group_out", "download_group_winners"):
-            counted = _counter_value(registry, "outofcore", op)
-            ledgered = _ledger_bytes([trainer.device], op)
-            assert counted == ledgered > 0, (op, counted, ledgered)
-
-    def test_winner_download_is_analytic(self):
-        ds, trainer, model, registry, _ = self._train()
-        want = 0.0
-        for tree in model.trees:
-            depths = np.asarray(tree.depth)
-            for lvl in range(trainer.params.max_depth):
-                n_active = int((depths == lvl).sum())
-                if n_active == 0:
-                    break
-                want += n_active * 64 * trainer.n_groups_
-        assert _counter_value(registry, "outofcore", "download_group_winners") == want
-
-    def test_boost_round_spans_recorded(self):
-        _, trainer, _, _, tracer = self._train()
-        spans = [
-            s for s in tracer.snapshot() if s["name"] == "outofcore.boost_round"
-        ]
-        assert len(spans) == trainer.params.n_trees
-        assert all(s["attrs"]["groups"] == trainer.n_groups_ for s in spans)

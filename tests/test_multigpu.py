@@ -1,6 +1,7 @@
 """Tests for the multi-GPU extension (Section VI future work)."""
 
-import numpy as np
+import dataclasses
+
 import pytest
 
 from repro import GBDTParams, GPUGBDTTrainer, models_equal
@@ -8,11 +9,18 @@ from repro.ext.multigpu import MultiGpuGBDTTrainer
 
 
 class TestTreeIdentity:
-    @pytest.mark.parametrize("n_devices", [1, 2, 3, 4])
-    def test_identical_to_single_gpu(self, covtype_small, n_devices):
-        """Attribute sharding must not change the learned trees."""
+    @pytest.mark.parametrize(
+        "n_devices, sampling",
+        [(k, {}) for k in (1, 2, 3, 4)]
+        + [(k, {"subsample": 0.7}) for k in (1, 2, 3, 4)]
+        + [(k, {"colsample_bytree": 0.5}) for k in (1, 2, 3, 4)],
+        ids=[f"{k}{tag}" for tag in ("", "-subsample", "-colsample") for k in (1, 2, 3, 4)],
+    )
+    def test_identical_to_single_gpu(self, covtype_small, n_devices, sampling):
+        """Attribute sharding must not change the learned trees, sampled
+        rounds included."""
         ds = covtype_small
-        p = GBDTParams(n_trees=3, max_depth=4)
+        p = GBDTParams(n_trees=3, max_depth=4, **sampling)
         single = GPUGBDTTrainer(p).fit(ds.X, ds.y)
         multi = MultiGpuGBDTTrainer(p, n_devices=n_devices).fit(ds.X, ds.y)
         assert models_equal(multi, single)
@@ -37,6 +45,20 @@ class TestTreeIdentity:
         single = GPUGBDTTrainer(p).fit(ds.X, ds.y)
         multi = MultiGpuGBDTTrainer(p, n_devices=2).fit(ds.X, ds.y)
         assert models_equal(multi, single)
+
+
+class TestWarmStart:
+    def test_resumed_fit_is_byte_identical(self, covtype_small):
+        ds = covtype_small
+        p = GBDTParams(n_trees=3, max_depth=4)
+        whole = MultiGpuGBDTTrainer(p, n_devices=3).fit(ds.X, ds.y)
+        head = MultiGpuGBDTTrainer(
+            dataclasses.replace(p, n_trees=2), n_devices=3
+        ).fit(ds.X, ds.y)
+        resumed = MultiGpuGBDTTrainer(
+            dataclasses.replace(p, n_trees=1), n_devices=3
+        ).fit(ds.X, ds.y, init_model=head)
+        assert resumed.to_json() == whole.to_json()
 
 
 class TestScaling:
@@ -81,12 +103,35 @@ class TestValidation:
         with pytest.raises(ValueError):
             MultiGpuGBDTTrainer(n_devices=0)
 
+    def test_rejects_goss_like_the_exact_trainer(self, covtype_small):
+        ds = covtype_small
+        p = GBDTParams(n_trees=1, max_depth=2, goss_a=0.2)
+        with pytest.raises(ValueError, match="GOSS"):
+            GPUGBDTTrainer(p).fit(ds.X, ds.y)
+        with pytest.raises(ValueError, match="GOSS"):
+            MultiGpuGBDTTrainer(p, n_devices=2).fit(ds.X, ds.y)
+
+    def test_rejects_short_targets(self, covtype_small):
+        ds = covtype_small
+        t = MultiGpuGBDTTrainer(GBDTParams(n_trees=1, max_depth=2), n_devices=2)
+        with pytest.raises(ValueError, match="entries for"):
+            t.fit(ds.X, ds.y[:-1])
+
     def test_more_devices_than_attributes(self, table1):
         """Sharding degrades gracefully when k > d (some shards are thin)."""
         X, y = table1
         p = GBDTParams(n_trees=2, max_depth=2)
         single = GPUGBDTTrainer(p).fit(X, y)
         multi = MultiGpuGBDTTrainer(p, n_devices=8).fit(X, y)
+        assert models_equal(multi, single)
+
+    def test_column_sample_leaving_shards_empty(self, susy_small):
+        """A tree whose sampled columns all live on some devices leaves the
+        other shards idle for that tree."""
+        ds = susy_small
+        p = GBDTParams(n_trees=3, max_depth=3, colsample_bytree=0.1)
+        single = GPUGBDTTrainer(p).fit(ds.X, ds.y)
+        multi = MultiGpuGBDTTrainer(p, n_devices=4).fit(ds.X, ds.y)
         assert models_equal(multi, single)
 
     def test_used_rle_flag(self, covtype_small):

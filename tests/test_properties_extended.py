@@ -1,15 +1,13 @@
 """Extended hypothesis property tests across orchestration variants:
-multi-GPU, out-of-core, sampling and histogram trainers must all agree
+multi-GPU, sampling and histogram trainers must all agree
 with their references under randomized problems."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import GBDTParams, GPUGBDTTrainer, models_equal
 from repro.approx import HistogramGBDTTrainer
 from repro.ext.multigpu import MultiGpuGBDTTrainer
-from repro.ext.outofcore import OutOfCoreGBDTTrainer
 from tests.conftest import random_csr
 
 SETTINGS = settings(
@@ -39,19 +37,6 @@ def test_multigpu_identity_property(pb, k):
     single = GPUGBDTTrainer(p).fit(X, y)
     multi = MultiGpuGBDTTrainer(p, n_devices=k).fit(X, y)
     assert models_equal(multi, single)
-
-
-@given(problem(), st.integers(1, 5))
-@SETTINGS
-def test_outofcore_identity_property(pb, cols_per_group):
-    X, y = pb
-    p = GBDTParams(n_trees=2, max_depth=3)
-    single = GPUGBDTTrainer(p).fit(X, y)
-    per_col = int(np.diff(X.to_csc().indptr).max()) * 8
-    ooc = OutOfCoreGBDTTrainer(
-        p, group_budget_bytes=per_col * cols_per_group + 1
-    )
-    assert models_equal(ooc.fit(X, y), single)
 
 
 @given(problem(), st.floats(0.4, 1.0), st.floats(0.4, 1.0), st.integers(0, 99))

@@ -1,6 +1,11 @@
 """Cluster tier tests: routing, admission, lifecycle, rolling deploys."""
 
+import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,3 +364,20 @@ class TestRollingDeploy:
         doc = json.loads(path.read_text())
         slice_pids = {e["pid"] for e in doc["traceEvents"] if e.get("ph") == "X"}
         assert len(slice_pids) == 3  # one pid per replica
+
+
+def test_clusterbench_cli_runs_the_drill(tmp_path):
+    """``python -m repro.bench.clusterbench --quick`` runs the goodput
+    comparison and deploy drill and writes its artifact."""
+    env = os.environ.copy()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["BENCH_METRICS_DIR"] = str(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.bench.clusterbench", "--quick"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, f"{proc.stdout}\n{proc.stderr}"
+    assert "rolling deploy: swapped=4 dropped=0" in proc.stdout
+    doc = json.loads((tmp_path / "BENCH_serving_cluster.json").read_text(encoding="utf-8"))
+    assert doc["metrics"]["deploy"]["dropped"] == 0
